@@ -291,10 +291,6 @@ func hmBenchRecords(n int) []plotters.Record {
 // The metered variants attach a metrics registry, pinning the cost of
 // instrumentation on the pipeline's hottest path (it must stay within
 // noise: everything is recorded per stage or per worker, never per pair).
-// The pruned variants enable the layered pruning engine (auto-calibrated
-// cut); their results are likewise bit-identical to the exhaustive runs
-// (see TestFindPlottersPrunedGolden), and CI's bench-gate compares them
-// against both the merge-base and the same-n exhaustive timing.
 func BenchmarkHMTest(b *testing.B) {
 	for _, n := range []int{64, 256, 1024} {
 		records := hmBenchRecords(n)
@@ -302,17 +298,14 @@ func BenchmarkHMTest(b *testing.B) {
 			name        string
 			parallelism int
 			metrics     bool
-			prune       bool
 		}{
-			{"seq", 1, false, false}, {"par", 0, false, false},
-			{"seq-metered", 1, true, false}, {"par-metered", 0, true, false},
-			{"seq-pruned", 1, false, true}, {"par-pruned", 0, false, true},
+			{"seq", 1, false}, {"par", 0, false},
+			{"seq-metered", 1, true}, {"par-metered", 0, true},
 		} {
 			b.Run(fmt.Sprintf("n=%d/%s", n, mode.name), func(b *testing.B) {
 				cfg := plotters.DefaultConfig()
 				cfg.MinInterstitialSamples = 100
 				cfg.Parallelism = mode.parallelism
-				cfg.HMPrune = mode.prune
 				if mode.metrics {
 					cfg.Metrics = plotters.NewMetrics()
 				}
@@ -337,55 +330,5 @@ func BenchmarkHMTest(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkHMTestPrunedLarge runs θ_hm at the scales where pruning is
-// the difference between feasible and not — n ∈ {4096, 16384}
-// clusterable hosts, pruned path only (the exhaustive path at n=16384
-// would evaluate 134M exact EMDs; CI caps exhaustive benches at
-// n=1024). Alongside pairs/s it reports the engine's own accounting:
-// exact-frac is the fraction of pairs that paid an exact EMD
-// evaluation (the ≤0.10 acceptance ratio at n=4096, calibration
-// included), pruned-frac the fraction skipped by the prefilter and
-// pivot layers.
-func BenchmarkHMTestPrunedLarge(b *testing.B) {
-	for _, n := range []int{4096, 16384} {
-		b.Run(fmt.Sprintf("n=%d/par-pruned", n), func(b *testing.B) {
-			records := hmBenchRecords(n)
-			cfg := plotters.DefaultConfig()
-			cfg.MinInterstitialSamples = 100
-			cfg.HMPrune = true
-			reg := plotters.NewMetrics()
-			cfg.Metrics = reg
-			a, err := plotters.NewAnalysis(records, nil, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			hosts := a.Hosts()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := a.HMTest(hosts, cfg.HMPercentile)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Clustered != n {
-					b.Fatalf("clustered %d of %d hosts", res.Clustered, n)
-				}
-			}
-			b.StopTimer()
-			snap := reg.TakeSnapshot()
-			total := float64(snap.Counters["distmatrix/pairs_total"])
-			if total > 0 {
-				exact := float64(snap.Counters["distmatrix/pairs"] +
-					snap.Counters["pipeline/hm/calibration_pairs"])
-				pruned := float64(snap.Counters["distmatrix/pairs_pruned_bound"] +
-					snap.Counters["distmatrix/pairs_pruned_pivot"])
-				b.ReportMetric(exact/total, "exact-frac")
-				b.ReportMetric(pruned/total, "pruned-frac")
-			}
-			pairs := float64(n) * float64(n-1) / 2
-			b.ReportMetric(pairs*float64(b.N)/b.Elapsed().Seconds(), "pairs/s")
-		})
 	}
 }

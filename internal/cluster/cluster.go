@@ -18,14 +18,8 @@ import (
 var ErrNoItems = errors.New("cluster: no items")
 
 // DistFunc reports the distance between items i and j. It must be
-// symmetric and non-negative; it is only ever called with i != j. A
-// +Inf value is the above-cut sentinel a pruned distance matrix stores
-// for pairs whose distance provably exceeds the clustering cut (see
-// internal/distmatrix): legal input, treated as "further than anything
-// finite". The Lance–Williams average absorbs it — any cluster pair
-// containing a sentinel member pair averages to +Inf — so sentinel
-// links can only form after every finite merge, and a top-fraction cut
-// that removes them never merges across a sentinel.
+// symmetric, non-negative and finite; it is only ever called with
+// i != j.
 type DistFunc func(i, j int) float64
 
 // Merge records one agglomeration step. Cluster ids 0..n-1 are the
@@ -61,6 +55,10 @@ type Dendrogram struct {
 // θ_hm at thousands of hosts. Merge order, including ties (broken toward
 // the smallest slot indices), is identical to the full rescan. O(n²)
 // space.
+//
+// A negative, NaN or infinite distance is an error, and so is one above
+// MaxFloat64/2n: the average-linkage update sums up to n weighted
+// distances, and the factor 2 keeps rounding from overflowing to +Inf.
 func Agglomerate(n int, dist DistFunc) (*Dendrogram, error) {
 	if n <= 0 {
 		return nil, ErrNoItems
@@ -77,10 +75,11 @@ func Agglomerate(n int, dist DistFunc) (*Dendrogram, error) {
 	for i := range mat {
 		mat[i] = make([]float64, n)
 	}
+	maxDist := math.MaxFloat64 / float64(2*n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			v := dist(i, j)
-			if v < 0 || math.IsNaN(v) {
+			if !(v >= 0 && v <= maxDist) {
 				return nil, fmt.Errorf("cluster: invalid distance %v between %d and %d", v, i, j)
 			}
 			mat[i][j] = v
@@ -97,10 +96,7 @@ func Agglomerate(n int, dist DistFunc) (*Dendrogram, error) {
 	}
 
 	// rowmin[i] is min over active j > i of mat[i][j]; nn[i] the smallest
-	// such j attaining it (-1 / +Inf when row i has no active successor
-	// with a finite distance — sentinel entries are deliberately never
-	// cached, so a row of sentinels looks identical to an empty row and
-	// the selection loop's fallback handles both).
+	// such j attaining it (-1 / +Inf when row i has no active successor).
 	// Scanning j ascending with a strict < reproduces the smallest-j tie
 	// break of a full rescan.
 	rowmin := make([]float64, n)
@@ -132,30 +128,7 @@ func Agglomerate(n int, dist DistFunc) (*Dendrogram, error) {
 				bi = i
 			}
 		}
-		var bj int
-		if bi < 0 {
-			// Every remaining inter-cluster distance is the above-cut
-			// sentinel (+Inf): the nearest-neighbor cache records finite
-			// distances only, so no row qualified. A pruned θ_hm matrix
-			// produces exactly this once the below-cut structure has
-			// merged. Finish the dendrogram deterministically — the two
-			// smallest active slots, weight +Inf — so CutTopFraction
-			// removes these links first and never merges across a
-			// sentinel.
-			for i := 0; i < n && bi < 0; i++ {
-				if active[i] {
-					bi = i
-				}
-			}
-			bj = -1
-			for j := bi + 1; j < n && bj < 0; j++ {
-				if active[j] {
-					bj = j
-				}
-			}
-		} else {
-			bj = nn[bi]
-		}
+		bj := nn[bi]
 		parent := n + step
 		d.merges = append(d.merges, Merge{A: slotID[bi], B: slotID[bj], Parent: parent, Weight: best})
 

@@ -23,9 +23,12 @@ func TestAgglomerateErrors(t *testing.T) {
 	if _, err := Agglomerate(2, bad); err == nil {
 		t.Error("negative distance: expected error")
 	}
-	nan := func(i, j int) float64 { return math.NaN() }
-	if _, err := Agglomerate(2, nan); err == nil {
-		t.Error("NaN distance: expected error")
+	// MaxFloat64 is finite, but averaging it would overflow to +Inf.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.MaxFloat64} {
+		invalid := func(i, j int) float64 { return v }
+		if _, err := Agglomerate(3, invalid); err == nil {
+			t.Errorf("%v distance: expected error", v)
+		}
 	}
 }
 

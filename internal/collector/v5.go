@@ -129,8 +129,9 @@ type V5Header struct {
 	// SysUptime is the exporter's time since boot at export.
 	SysUptime time.Duration
 	// Exported is the exporter's wall clock at export (unix_secs +
-	// unix_nsecs). Record timestamps are reconstructed against
-	// Exported − SysUptime.
+	// unix_nsecs). A record timestamp T is reconstructed as
+	// Exported − (SysUptime − T) mod 2³² ms, which survives a wrap of
+	// the uptime counter.
 	Exported time.Time
 	// FlowSequence is the sequence number of the packet's first flow:
 	// the exporter's running count of flows exported before this
@@ -169,13 +170,16 @@ func DecodeV5(pkt []byte, dst []flow.Record) (V5Header, []flow.Record, error) {
 		EngineID:         pkt[21],
 		SamplingInterval: be.Uint16(pkt[22:]),
 	}
-	boot := hdr.Exported.Add(-hdr.SysUptime)
+	// First and Last are read as ages before export, modulo the 32-bit
+	// uptime counter: a record stamped just before SysUptime wrapped
+	// still lands just before Exported, not 49.7 days after it.
+	uptime := be.Uint32(pkt[4:])
 	for i := 0; i < count; i++ {
 		b := pkt[V5HeaderSize+i*V5RecordSize:]
-		first := time.Duration(be.Uint32(b[24:])) * time.Millisecond
-		last := time.Duration(be.Uint32(b[28:])) * time.Millisecond
-		if last < first {
-			return hdr, dst, fmt.Errorf("%w: record %d ends %v before it starts", ErrCorrupt, i, first-last)
+		firstAge := time.Duration(uptime-be.Uint32(b[24:])) * time.Millisecond
+		lastAge := time.Duration(uptime-be.Uint32(b[28:])) * time.Millisecond
+		if lastAge > firstAge {
+			return hdr, dst, fmt.Errorf("%w: record %d ends %v before it starts", ErrCorrupt, i, lastAge-firstAge)
 		}
 		proto := flow.Proto(b[38])
 		dst = append(dst, flow.Record{
@@ -184,8 +188,8 @@ func DecodeV5(pkt []byte, dst []flow.Record) (V5Header, []flow.Record, error) {
 			SrcPort:  be.Uint16(b[32:]),
 			DstPort:  be.Uint16(b[34:]),
 			Proto:    proto,
-			Start:    boot.Add(first),
-			End:      boot.Add(last),
+			Start:    hdr.Exported.Add(-firstAge),
+			End:      hdr.Exported.Add(-lastAge),
 			SrcPkts:  be.Uint32(b[16:]),
 			SrcBytes: uint64(be.Uint32(b[20:])),
 			State:    flagsState(proto, b[37]),

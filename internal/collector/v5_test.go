@@ -1,7 +1,9 @@
 package collector
 
 import (
+	"encoding/binary"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -170,11 +172,63 @@ func TestV5DecodeErrors(t *testing.T) {
 		}
 	}
 
-	// A record whose Last precedes First is corrupt.
+	// A record whose Last precedes First is corrupt. Record 0 has
+	// First = 0, so Last = max sits one millisecond before it on the
+	// wrapping uptime clock.
 	bad := append([]byte(nil), valid...)
-	copy(bad[V5HeaderSize+24:], []byte{0xff, 0xff, 0xff, 0xff}) // First = max
+	copy(bad[V5HeaderSize+28:], []byte{0xff, 0xff, 0xff, 0xff}) // Last = max
 	if _, _, err := DecodeV5(bad, nil); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("inverted times: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// uptimePacket encodes one record, then overwrites the header's
+// SysUptime and the record's First/Last with raw uptime milliseconds.
+// It returns the packet and its export time.
+func uptimePacket(t *testing.T, uptime, first, last uint32) ([]byte, time.Time) {
+	t.Helper()
+	pkt, err := AppendV5(nil, wireRecords()[:1], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	be := binary.BigEndian
+	be.PutUint32(pkt[4:], uptime)
+	be.PutUint32(pkt[V5HeaderSize+24:], first)
+	be.PutUint32(pkt[V5HeaderSize+28:], last)
+	return pkt, time.Unix(int64(be.Uint32(pkt[8:])), int64(be.Uint32(pkt[12:]))).UTC()
+}
+
+// TestV5WrappedFirst: SysUptime wrapped 5 s before export, and the
+// record was stamped before the wrap. It must land 8 s and 6 s before
+// export, not 49.7 days after it.
+func TestV5WrappedFirst(t *testing.T) {
+	pkt, exported := uptimePacket(t, 5000, math.MaxUint32-2999, math.MaxUint32-999)
+	_, got, err := DecodeV5(pkt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := exported.Add(-8 * time.Second); !got[0].Start.Equal(want) {
+		t.Errorf("Start = %v, want %v", got[0].Start, want)
+	}
+	if want := exported.Add(-6 * time.Second); !got[0].End.Equal(want) {
+		t.Errorf("End = %v, want %v", got[0].End, want)
+	}
+}
+
+// TestV5WrapBetweenFirstAndLast: the flow started before the uptime
+// counter wrapped and ended after it. Last < First numerically, but
+// the record is valid and spans 8 s to 4 s before export.
+func TestV5WrapBetweenFirstAndLast(t *testing.T) {
+	pkt, exported := uptimePacket(t, 5000, math.MaxUint32-2999, 1000)
+	_, got, err := DecodeV5(pkt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := exported.Add(-8 * time.Second); !got[0].Start.Equal(want) {
+		t.Errorf("Start = %v, want %v", got[0].Start, want)
+	}
+	if want := exported.Add(-4 * time.Second); !got[0].End.Equal(want) {
+		t.Errorf("End = %v, want %v", got[0].End, want)
 	}
 }
 

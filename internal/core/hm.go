@@ -128,66 +128,13 @@ func hmHistogram(interstitials []float64, cfg Config) (*histogram.Histogram, err
 func (a *Analysis) hmCluster(hosts []flow.IP, sigs []*emd.Signature, skipped int, pct float64) (HMResult, error) {
 	reg := a.cfg.Metrics
 
-	// Resolve the prune/gate cut. Exact distances only matter below the
-	// clustering cut — with UPGMA's monotone merge weights, the
-	// top-fraction cut removes exactly the last merges, so any pair
-	// provably above every surviving cluster's diameter can be recorded
-	// as the sentinel without changing a single merge (the derivation
-	// lives in DESIGN.md). An explicit HMCut is used as-is; HMPrune with
-	// HMCut = 0 calibrates one from a deterministic host subsample.
-	cut := a.cfg.HMCut
-	if a.cfg.HMPrune && cut == 0 {
-		t := reg.StartStage("pipeline/hm/calibrate")
-		c, err := calibrateCut(sigs, a.cfg)
-		t.Stop()
-		if err != nil {
-			return HMResult{}, fmt.Errorf("core: cut calibration: %w", err)
-		}
-		cut = c
-	}
-	opts := distmatrix.Options{Parallelism: a.cfg.Parallelism, Metrics: reg, Cut: cut}
-	var pstats distmatrix.PruneStats
-	if cut > 0 {
-		opts.Stats = &pstats
-		reg.Gauge("pipeline/hm/cut_microemd").Set(int64(cut * 1e6))
-	}
-	if a.cfg.HMPrune && cut > 0 {
-		// Coarsened-CDF signatures over one shared grid spanning every
-		// host's support: the pairwise L1 of these fixed-length vectors
-		// lower-bounds the exact EMD (admissible — see internal/emd),
-		// and costs ~1/40th of an exact evaluation.
-		t := reg.StartStage("pipeline/hm/prefilter")
-		lo, hi := sigs[0].Support()
-		for _, s := range sigs[1:] {
-			slo, shi := s.Support()
-			if slo < lo {
-				lo = slo
-			}
-			if shi > hi {
-				hi = shi
-			}
-		}
-		cdfs := make([]*emd.CDFSignature, len(sigs))
-		for i, s := range sigs {
-			cdfs[i] = s.CDFSignature(lo, hi, hmBoundCells)
-		}
-		t.Stop()
-		// The early-exit stop sits just above the engine's slack-adjusted
-		// threshold, so a capped scan that exits has provably cleared it.
-		stop := cut * (1 + 1e-6)
-		opts.Bound = func(i, j int) float64 { return emd.LowerBoundAtLeast(cdfs[i], cdfs[j], stop) }
-		opts.Pivots = hmPivots
-	}
-
 	// The matrix is the pipeline's dominant cost; distmatrix shards it
 	// across cfg.Parallelism workers (0 = all CPUs) with output — values
-	// and any error — bit-identical to a sequential i-then-j loop, and
-	// (when a cut is active) bit-identical between the pruned and the
-	// exhaustive-then-gated fills.
+	// and any error — bit-identical to a sequential i-then-j loop.
 	t := reg.StartStage("pipeline/hm/matrix")
 	dist, err := distmatrix.Compute(context.Background(), len(hosts),
 		func(i, j int) (float64, error) { return sigs[i].Distance(sigs[j]), nil },
-		opts)
+		distmatrix.Options{Parallelism: a.cfg.Parallelism, Metrics: reg})
 	t.Stop()
 	if err != nil {
 		var pe *distmatrix.PairError
@@ -209,21 +156,11 @@ func (a *Analysis) hmCluster(hosts []flow.IP, sigs []*emd.Signature, skipped int
 	// peer to corroborate it.
 	var clusters []HMCluster
 	var diameters []float64
-	var overcut int64
 	for _, members := range groups {
 		if len(members) < 2 {
 			continue
 		}
 		diam := clusterSpread(a.cfg, members, dist.DistFunc())
-		if math.IsInf(diam, 1) {
-			// A sentinel pair inside a surviving cluster means the cut
-			// was tighter than this cluster's true spread — possible
-			// only with a miscalibrated explicit HMCut. Record it and
-			// clamp to the largest finite value: the cluster can never
-			// pass τ_hm, and the result stays JSON-serializable.
-			overcut++
-			diam = math.MaxFloat64
-		}
 		ips := make([]flow.IP, len(members))
 		for k, m := range members {
 			ips[k] = hosts[m]
@@ -232,7 +169,6 @@ func (a *Analysis) hmCluster(hosts []flow.IP, sigs []*emd.Signature, skipped int
 		diameters = append(diameters, diam)
 	}
 	reg.Gauge("pipeline/hm/clusters").Set(int64(len(clusters)))
-	reg.Gauge("pipeline/hm/overcut").Set(overcut)
 	result := HMResult{Kept: HostSet{}, Clusters: clusters, Clustered: len(hosts), Skipped: skipped}
 	if len(clusters) == 0 {
 		return result, nil
@@ -252,82 +188,6 @@ func (a *Analysis) hmCluster(hosts []flow.IP, sigs []*emd.Signature, skipped int
 		}
 	}
 	return result, nil
-}
-
-// Pruning-engine tuning. The cell count trades prefilter cost against
-// bound tightness (64 cells over the log-time support resolves the
-// timer structure that separates bot families); the pivot count is the
-// depth of the triangle-inequality layer behind it; the calibration
-// sample bounds the exhaustive mini-matrix auto-calibration pays — it
-// must stay large enough that the subsample resolves the population's
-// cluster structure (a too-sparse subsample merges across true cluster
-// boundaries and overestimates the cut, which costs speed, never
-// correctness); the safety factor widens the calibrated cut so a
-// subsample's underestimate of the full population's cluster spreads
-// stays above the true requirement.
-const (
-	hmBoundCells        = 64
-	hmPivots            = 8
-	hmCalibrationSample = 384
-	hmCutSafety         = 2.0
-)
-
-// calibrateCut derives the prune/gate distance for HMPrune from a
-// deterministic stride subsample of the (address-sorted) clusterable
-// hosts: cluster the subsample exhaustively exactly as the full run
-// would, take the widest surviving multi-member cluster's true diameter
-// — the quantity the equivalence theorem needs the cut to dominate —
-// and widen it by hmCutSafety. A subsample with no multi-member
-// clusters falls back to its largest observed pairwise distance, which
-// prunes little but can never change the result.
-func calibrateCut(sigs []*emd.Signature, cfg Config) (float64, error) {
-	n := len(sigs)
-	m := hmCalibrationSample
-	if m > n {
-		m = n
-	}
-	idx := make([]int, m)
-	for t := range idx {
-		idx[t] = t * n / m
-	}
-	// The mini-matrix runs without the registry so its exact evaluations
-	// stay out of distmatrix/pairs (which must count only the main
-	// matrix, keeping Exact ≤ PairsTotal); calibration's cost is
-	// reported separately, by this counter and the calibrate stage time.
-	cfg.Metrics.Counter("pipeline/hm/calibration_pairs").Add(int64(m) * int64(m-1) / 2)
-	mat, err := distmatrix.Compute(context.Background(), m,
-		func(i, j int) (float64, error) { return sigs[idx[i]].Distance(sigs[idx[j]]), nil },
-		distmatrix.Options{Parallelism: cfg.Parallelism})
-	if err != nil {
-		return 0, err
-	}
-	dendro, err := cluster.Agglomerate(m, mat.DistFunc())
-	if err != nil {
-		return 0, err
-	}
-	var widest float64
-	for _, members := range dendro.CutTopFraction(cfg.CutFraction) {
-		if len(members) < 2 {
-			continue
-		}
-		if d := cluster.Diameter(members, mat.DistFunc()); d > widest {
-			widest = d
-		}
-	}
-	if widest == 0 {
-		for i := 0; i < m; i++ {
-			for j := i + 1; j < m; j++ {
-				if d := mat.At(i, j); d > widest {
-					widest = d
-				}
-			}
-		}
-	}
-	if widest == 0 {
-		// Identical histograms everywhere: any positive cut is correct.
-		widest = 1
-	}
-	return widest * hmCutSafety, nil
 }
 
 // clusterSpread computes the cluster statistic the τ_hm filter compares:

@@ -31,7 +31,6 @@ package distmatrix
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -43,21 +42,6 @@ import (
 // DistFunc reports the distance between items i and j (i < j). It must
 // be safe for concurrent calls from multiple goroutines.
 type DistFunc func(i, j int) (float64, error)
-
-// BoundFunc reports a lower bound on the distance between items i and j
-// (i < j): Bound(i, j) <= dist(i, j) up to float rounding. It must be
-// cheap relative to DistFunc and safe for concurrent calls.
-type BoundFunc func(i, j int) float64
-
-// Sentinel is the matrix value stored for a pair whose distance provably
-// exceeds Options.Cut. +Inf is deliberate: average-linkage clustering
-// arithmetic absorbs it (any cluster pair containing a sentinel member
-// pair averages to +Inf), which is exactly the "never merged below the
-// cut" semantics the θ_hm pruning contract needs.
-var Sentinel = math.Inf(1)
-
-// IsSentinel reports whether a matrix value is the above-cut sentinel.
-func IsSentinel(v float64) bool { return math.IsInf(v, 1) }
 
 // Matrix is a symmetric n×n distance matrix over a flat backing slice
 // (row-major), with a zero diagonal. The flat layout halves the pointer
@@ -111,65 +95,10 @@ type Options struct {
 	// the "distmatrix/pairs" counter (distance evaluations performed),
 	// the "distmatrix/workers" gauge (effective pool size), and the
 	// "distmatrix/worker_busy" histogram (each worker's busy wall time,
-	// whose spread exposes load imbalance). With Cut > 0 the pruning
-	// engine additionally reports the "distmatrix/pairs_total",
-	// "distmatrix/pairs_pruned_bound", "distmatrix/pairs_pruned_pivot",
-	// and "distmatrix/pairs_gated" counters, the per-worker
-	// "distmatrix/prefilter_busy" / "distmatrix/exact_busy" histograms
-	// (time split between the cheap bound passes and the exact distance
-	// evaluations), and a "distmatrix/pivots" stage timer around pivot
-	// selection. Recording happens per worker lifetime, never per pair,
-	// so the hot loops are untouched.
+	// whose spread exposes load imbalance). Recording happens per
+	// worker lifetime, never per pair, so the hot loops are untouched.
 	Metrics *metrics.Registry
-
-	// Cut, when positive, enables gating: every pair whose distance
-	// exceeds Cut is stored as Sentinel instead of its exact value. The
-	// gated matrix is a pure function of the exact distances and Cut —
-	// Bound and Pivots change how many exact evaluations are needed to
-	// produce it, never its contents. Zero (the default) disables
-	// gating and pruning entirely.
-	Cut float64
-	// Bound, when non-nil (and Cut > 0), is the prefilter: a pair whose
-	// lower bound already exceeds Cut skips its exact evaluation and is
-	// stored as Sentinel directly. Admissibility (Bound <= dist) is the
-	// caller's contract; a small relative slack absorbs float rounding
-	// between the two computations.
-	Bound BoundFunc
-	// Pivots, when positive (and Cut > 0), layers triangle-inequality
-	// pruning behind the prefilter: the engine computes exact distances
-	// from every item to Pivots pivot items (chosen by deterministic
-	// farthest-point selection), and |d(i,p) − d(j,p)| lower-bounds
-	// d(i,j) for any metric distance. Only meaningful when dist is a
-	// metric — 1-D EMD is.
-	Pivots int
-	// Stats, when non-nil (and Cut > 0), accumulates pruning tallies.
-	// Fields are updated atomically; read them after Compute returns.
-	Stats *PruneStats
 }
-
-// PruneStats tallies the pruning engine's work. On a successful Compute,
-// Total = PrunedBound + PrunedPivot + Exact, and Exact is the number of
-// exact distance evaluations performed (pivot-phase rows included).
-type PruneStats struct {
-	// Total is the number of pairs in the upper triangle.
-	Total int64
-	// PrunedBound counts pairs skipped by the prefilter bound.
-	PrunedBound int64
-	// PrunedPivot counts pairs skipped by the pivot triangle bound.
-	PrunedPivot int64
-	// Exact counts exact distance evaluations (each pair at most once).
-	Exact int64
-	// Gated counts exactly-evaluated pairs whose distance exceeded Cut
-	// and was stored as Sentinel.
-	Gated int64
-}
-
-// boundSlack is the relative margin added to Cut before comparing lower
-// bounds against it: a bound computed by a different float summation than
-// the exact distance can exceed it by a few ulps on near-equal pairs, and
-// a false prune there would break the gated-matrix invariant. The exact
-// value's own gate comparison uses Cut unmodified.
-const boundSlack = 1e-9
 
 // DefaultSequentialCutoff is the default n below which the worker pool
 // is not worth its startup cost: a 48×48 matrix is ~1.1k pairs, on the
@@ -207,21 +136,6 @@ func Compute(ctx context.Context, n int, dist DistFunc, opts Options) (*Matrix, 
 	}
 	workers := opts.workers(n)
 	opts.Metrics.Gauge("distmatrix/workers").Set(int64(workers))
-	if opts.Cut > 0 {
-		e, err := newEngine(ctx, m, dist, opts)
-		if err != nil {
-			return nil, err
-		}
-		if workers <= 1 {
-			err = computeSeqPruned(ctx, e)
-		} else {
-			err = computeParPruned(ctx, e, workers)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return m, nil
-	}
 	if workers <= 1 {
 		if err := computeSeq(ctx, m, dist, opts.Metrics); err != nil {
 			return nil, err

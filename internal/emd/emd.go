@@ -5,18 +5,13 @@
 // EMD is the minimum-cost solution of the classic transportation problem
 // (Dantzig, 1951): move the probability mass of one distribution onto the
 // other at per-unit cost equal to the ground distance between bin
-// positions. Two solvers are provided:
+// positions. Interstitial times are scalar, so the package solves it with
+// Distance1D, an exact O(m+n) closed form for one-dimensional signatures
+// with |·| ground distance, obtained by integrating the absolute
+// difference of the two CDFs. The tests cross-validate it against a
+// general transportation-simplex solver (transport_test.go).
 //
-//   - Distance1D: an exact O(m+n) closed form for one-dimensional
-//     signatures with |·| ground distance, obtained by integrating the
-//     absolute difference of the two CDFs. This is what the detection
-//     pipeline uses (interstitial times are scalar).
-//   - Transport: a general transportation-simplex solver (northwest-corner
-//     start, MODI improvement with Bland's rule) for arbitrary cost
-//     matrices. It cross-validates the closed form in tests and supports
-//     non-scalar ground distances.
-//
-// Both operate on "signatures": parallel slices of positions and
+// The package works on "signatures": parallel slices of positions and
 // non-negative weights. Distances are defined for equal total mass; the
 // package normalizes both signatures to unit mass, matching the paper's
 // normalized histograms.
@@ -31,9 +26,6 @@ import (
 
 // ErrEmptySignature is returned when a signature has no mass.
 var ErrEmptySignature = errors.New("emd: empty signature")
-
-// weightEps is the tolerance below which residual mass is considered zero.
-const weightEps = 1e-12
 
 // Distance1D returns the Earth Mover's Distance between two
 // one-dimensional signatures under the |a-b| ground distance. Weights are

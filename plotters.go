@@ -655,46 +655,6 @@ type (
 // NewMetrics creates an empty metrics registry.
 func NewMetrics() *Metrics { return metrics.New() }
 
-// PruneReport summarizes the θ_hm pruning engine's pair accounting from
-// an instrumented run (Config.HMPrune / Config.HMCut): how many of the
-// n·(n−1)/2 candidate pairs were skipped by each pruning layer versus
-// evaluated exactly. Calibration counts the exact evaluations the
-// auto-calibration mini-matrix paid on top of the main matrix.
-// ExactFraction is the run's headline economy — the share of pairs that
-// paid an exact EMD evaluation, calibration included; it can exceed 1
-// on populations small enough that the calibration subsample covers
-// most hosts, where pruning costs more than it saves.
-type PruneReport struct {
-	PairsTotal    int64   `json:"pairs_total"`
-	Exact         int64   `json:"exact"`
-	PrunedBound   int64   `json:"pruned_bound"`
-	PrunedPivot   int64   `json:"pruned_pivot"`
-	Gated         int64   `json:"gated"`
-	Calibration   int64   `json:"calibration,omitempty"`
-	ExactFraction float64 `json:"exact_fraction"`
-}
-
-// PruneSummary derives a PruneReport from a snapshot's distmatrix and
-// calibration counters. The second return is false when the snapshot
-// holds no gated-matrix activity — the run never engaged the pruning
-// engine.
-func PruneSummary(snap MetricsSnapshot) (PruneReport, bool) {
-	total := snap.Counters["distmatrix/pairs_total"]
-	if total == 0 {
-		return PruneReport{}, false
-	}
-	r := PruneReport{
-		PairsTotal:  total,
-		Exact:       snap.Counters["distmatrix/pairs"],
-		PrunedBound: snap.Counters["distmatrix/pairs_pruned_bound"],
-		PrunedPivot: snap.Counters["distmatrix/pairs_pruned_pivot"],
-		Gated:       snap.Counters["distmatrix/pairs_gated"],
-		Calibration: snap.Counters["pipeline/hm/calibration_pairs"],
-	}
-	r.ExactFraction = float64(r.Exact+r.Calibration) / float64(total)
-	return r, true
-}
-
 // MeterTraceReader attaches reg's flowio counters (records decoded,
 // bytes consumed) to a reader returned by NewTraceReader. Readers from
 // other packages are returned untouched.

@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"plotters"
@@ -52,16 +53,28 @@ type goldenResult struct {
 // traces from fixed seed offsets, so a Days=1 corpus reproduces day 0 of
 // the full eight-day evaluation bit for bit at an eighth of the
 // synthesis cost.
+//
+// The corpus is synthesized once per test binary and shared by every
+// caller, so callers must treat it as read-only: overlaying a day
+// copies its records rather than rewriting them.
 func goldenDataset(t *testing.T) *plotters.Dataset {
 	t.Helper()
-	dsCfg := plotters.DefaultDatasetConfig(42)
-	dsCfg.Days = 1
-	ds, err := plotters.GenerateDataset(dsCfg)
-	if err != nil {
-		t.Fatal(err)
+	goldenOnce.Do(func() {
+		dsCfg := plotters.DefaultDatasetConfig(42)
+		dsCfg.Days = 1
+		goldenDS, goldenErr = plotters.GenerateDataset(dsCfg)
+	})
+	if goldenErr != nil {
+		t.Fatal(goldenErr)
 	}
-	return ds
+	return goldenDS
 }
+
+var (
+	goldenOnce sync.Once
+	goldenDS   *plotters.Dataset
+	goldenErr  error
+)
 
 // goldenDay overlays the corpus exactly as cmd/experiments does (suite
 // seed = dataset seed + 1).

@@ -146,7 +146,7 @@ type Collector struct {
 	mResets, mTemplates, mMissingTmpl *metrics.Counter
 	mReadErrors, mBatches             *metrics.Counter
 	mSampledOut, mEvicted             *metrics.Counter
-	mSFlowSkipped                     *metrics.Counter
+	mSFlowSkipped, mCorrupt           *metrics.Counter
 	gQueueHW, gExporters              *metrics.Gauge
 }
 
@@ -213,6 +213,7 @@ func Listen(cfg Config) (*Collector, error) {
 		mSampledOut:   reg.Counter("collector/records/sampled_out"),
 		mEvicted:      reg.Counter("collector/templates/evicted"),
 		mSFlowSkipped: reg.Counter("collector/sflow/skipped"),
+		mCorrupt:      reg.Counter("collector/records/corrupt"),
 		gQueueHW:      reg.Gauge("collector/queue/high_water"),
 		gExporters:    reg.Gauge("collector/exporters"),
 	}
@@ -402,6 +403,7 @@ func (c *Collector) process(pb *ingest.Buf, arena *ingest.RecordArena) {
 			c.mMalformed.Add(1)
 			return
 		}
+		c.mCorrupt.Add(int64(hdr.Corrupt))
 		c.accountV5(pb.Exporter, hdr)
 		c.deliver(recs)
 	case 9:

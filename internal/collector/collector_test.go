@@ -138,6 +138,31 @@ func TestCollectorSurvivesHostilePackets(t *testing.T) {
 	}
 }
 
+// One v5 record with inverted timestamps is counted and skipped; the
+// rest of its packet reaches the handler and the packet is not
+// malformed.
+func TestCollectorV5CorruptRecordKeepsSiblings(t *testing.T) {
+	tc := startCollector(t, nil)
+	pkt, err := AppendV5(nil, wireRecords(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(pkt[V5HeaderSize+28:], []byte{0xff, 0xff, 0xff, 0xff}) // record 0: Last before First
+	tc.Inject(pkt, "e")
+
+	want := len(wireRecords()) - 1
+	waitFor(t, "the sibling records", func() bool { return len(tc.records()) == want })
+	if n := tc.counter("collector/records/corrupt"); n != 1 {
+		t.Errorf("records/corrupt = %d, want 1", n)
+	}
+	if n := tc.counter("collector/packets/malformed"); n != 0 {
+		t.Errorf("malformed = %d, want 0", n)
+	}
+	if n := tc.counter("collector/records"); n != int64(want) {
+		t.Errorf("records = %d, want %d", n, want)
+	}
+}
+
 func TestCollectorSequenceGapAndReset(t *testing.T) {
 	tc := startCollector(t, nil)
 	records := wireRecords() // 4 records per packet

@@ -70,7 +70,7 @@ var (
 	// ErrVersion marks an export version this decoder does not speak.
 	ErrVersion = errors.New("collector: unsupported export version")
 	// ErrCorrupt marks a structurally invalid packet (count/length
-	// mismatch, a flow that ends before it starts, a malformed
+	// mismatch, a v9/IPFIX flow that ends before it starts, a malformed
 	// template).
 	ErrCorrupt = errors.New("collector: corrupt export packet")
 )
@@ -142,13 +142,18 @@ type V5Header struct {
 	EngineID   byte
 	// SamplingInterval is the raw sampling mode/interval field.
 	SamplingInterval uint16
+	// Corrupt counts records skipped because they end before they
+	// start; the packet's other records are still decoded.
+	Corrupt int
 }
 
 // DecodeV5 decodes one NetFlow v5 packet, appending its flow records to
 // dst (which may be nil; pass a reused slice to decode allocation-free).
 // The packet must be exactly header + count*48 bytes — a UDP datagram
-// is one packet. No semantic validation is applied beyond structural
-// sanity; v5 carries flows of any IANA protocol.
+// is one packet. A record that ends before it starts is skipped and
+// counted in V5Header.Corrupt, so one bad record never costs its
+// siblings. No other semantic validation is applied; v5 carries flows
+// of any IANA protocol.
 func DecodeV5(pkt []byte, dst []flow.Record) (V5Header, []flow.Record, error) {
 	if len(pkt) < V5HeaderSize {
 		return V5Header{}, dst, fmt.Errorf("%w: %d bytes, need %d for a v5 header", ErrTruncated, len(pkt), V5HeaderSize)
@@ -179,7 +184,8 @@ func DecodeV5(pkt []byte, dst []flow.Record) (V5Header, []flow.Record, error) {
 		firstAge := time.Duration(uptime-be.Uint32(b[24:])) * time.Millisecond
 		lastAge := time.Duration(uptime-be.Uint32(b[28:])) * time.Millisecond
 		if lastAge > firstAge {
-			return hdr, dst, fmt.Errorf("%w: record %d ends %v before it starts", ErrCorrupt, i, lastAge-firstAge)
+			hdr.Corrupt++
+			continue
 		}
 		proto := flow.Proto(b[38])
 		dst = append(dst, flow.Record{

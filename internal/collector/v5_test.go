@@ -172,13 +172,24 @@ func TestV5DecodeErrors(t *testing.T) {
 		}
 	}
 
-	// A record whose Last precedes First is corrupt. Record 0 has
-	// First = 0, so Last = max sits one millisecond before it on the
-	// wrapping uptime clock.
+	// A record whose Last precedes First is corrupt, but only that
+	// record is lost. Record 0 has First = 0, so Last = max sits one
+	// millisecond before it on the wrapping uptime clock.
 	bad := append([]byte(nil), valid...)
 	copy(bad[V5HeaderSize+28:], []byte{0xff, 0xff, 0xff, 0xff}) // Last = max
-	if _, _, err := DecodeV5(bad, nil); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("inverted times: err = %v, want ErrCorrupt", err)
+	hdr, got, err := DecodeV5(bad, nil)
+	if err != nil {
+		t.Fatalf("inverted times: err = %v, want the siblings decoded", err)
+	}
+	_, want, err := DecodeV5(valid, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hdr.Corrupt != 1 || hdr.Count != len(wireRecords()) {
+		t.Errorf("inverted times: Corrupt = %d, Count = %d, want 1 and %d", hdr.Corrupt, hdr.Count, len(wireRecords()))
+	}
+	if !reflect.DeepEqual(got, want[1:]) {
+		t.Errorf("inverted times: delivered %+v, want the %d siblings %+v", got, len(want)-1, want[1:])
 	}
 }
 

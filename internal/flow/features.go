@@ -80,11 +80,24 @@ func (h *HostFeatures) NewPeerFraction() float64 {
 	return float64(h.NewPeers) / float64(h.Peers)
 }
 
+// contact is one destination's entry in a host's contact table: the
+// Unix-nanosecond starts of the host's first and latest flow to it.
+// Pointer-free, so the garbage collector never scans the table.
+type contact struct {
+	first, last int64
+}
+
 // featureBuilder accumulates one host's state during extraction.
 type featureBuilder struct {
-	feats     *HostFeatures
-	firstSeen map[IP]time.Time // destination -> first contact
-	lastStart map[IP]time.Time // destination -> latest flow start
+	feats    *HostFeatures
+	contacts map[IP]contact // destination -> first and latest flow start
+}
+
+func newFeatureBuilder(host IP, firstSeen time.Time) *featureBuilder {
+	return &featureBuilder{
+		feats:    &HostFeatures{Host: host, FirstSeen: firstSeen},
+		contacts: make(map[IP]contact),
+	}
 }
 
 // ExtractFeatures computes per-host features from the record set.
@@ -114,14 +127,11 @@ func extractBuilders(records []Record, opts FeatureOptions) map[IP]*featureBuild
 		}
 		b, ok := builders[r.Src]
 		if !ok {
-			b = &featureBuilder{
-				feats:     &HostFeatures{Host: r.Src, FirstSeen: r.Start},
-				firstSeen: make(map[IP]time.Time),
-				lastStart: make(map[IP]time.Time),
-			}
+			b = newFeatureBuilder(r.Src, r.Start)
 			builders[r.Src] = b
 		}
-		b.observe(r, grace)
+		o := observationOf(r)
+		b.observe(&o, grace)
 	}
 	return builders
 }
@@ -136,14 +146,14 @@ func featuresOfBuilders(builders map[IP]*featureBuilder) map[IP]*HostFeatures {
 }
 
 // contactsOfBuilders derives each host's contacted-destination set (the
-// keys of its per-destination first-contact table) in ascending address
-// order — the flow-graph view of the accumulated state that the
-// community detector consumes.
+// keys of its contact table) in ascending address order — the
+// flow-graph view of the accumulated state that the community detector
+// consumes.
 func contactsOfBuilders(builders map[IP]*featureBuilder) map[IP][]IP {
 	out := make(map[IP][]IP, len(builders))
 	for ip, b := range builders {
-		dsts := make([]IP, 0, len(b.firstSeen))
-		for dst := range b.firstSeen {
+		dsts := make([]IP, 0, len(b.contacts))
+		for dst := range b.contacts {
 			dsts = append(dsts, dst)
 		}
 		sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })

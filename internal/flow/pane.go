@@ -8,10 +8,10 @@ import (
 // Pane is one sealed accumulation interval's raw per-host state: the
 // feature builders detached from a StreamExtractor at a pane boundary.
 // A tumbling detection window is a single pane; a sliding window is the
-// merge of its last Window/Slide panes. Panes keep the per-destination
-// first-contact and last-start maps alive so MergePanes can stitch
-// adjacent panes back together exactly (peer de-duplication and
-// cross-pane interstitial gaps included).
+// merge of its last Window/Slide panes. Panes keep each host's contact
+// table (first and latest start per destination) alive so MergePanes
+// can stitch adjacent panes back together exactly (peer de-duplication
+// and cross-pane interstitial gaps included).
 type Pane struct {
 	builders map[IP]*featureBuilder
 	window   Window
@@ -96,9 +96,8 @@ func MergePanes(grace time.Duration, panes ...*Pane) *FeatureSet {
 	}
 
 	type hostMerge struct {
-		feats        *HostFeatures
-		firstContact map[IP]time.Time // destination -> earliest contact across panes
-		lastStart    map[IP]time.Time // destination -> latest start so far (for boundary gaps)
+		feats    *HostFeatures
+		contacts map[IP]contact // destination -> earliest contact and latest start across panes
 	}
 	merged := make(map[IP]*hostMerge)
 	for _, p := range nonEmpty {
@@ -111,8 +110,7 @@ func MergePanes(grace time.Duration, panes ...*Pane) *FeatureSet {
 						FirstSeen: b.feats.FirstSeen,
 						LastSeen:  b.feats.LastSeen,
 					},
-					firstContact: make(map[IP]time.Time, len(b.firstSeen)),
-					lastStart:    make(map[IP]time.Time, len(b.lastStart)),
+					contacts: make(map[IP]contact, len(b.contacts)),
 				}
 				merged[ip] = m
 			}
@@ -131,18 +129,16 @@ func MergePanes(grace time.Duration, panes ...*Pane) *FeatureSet {
 			// the previous pane's last start to a destination and this
 			// pane's first contact with it is reconstructed here.
 			f.Interstitials = append(f.Interstitials, b.feats.Interstitials...)
-			for dst, first := range b.firstSeen {
-				if prev, ok := m.lastStart[dst]; ok {
-					f.Interstitials = append(f.Interstitials, first.Sub(prev).Seconds())
+			for dst, c := range b.contacts {
+				cur, ok := m.contacts[dst]
+				if !ok {
+					m.contacts[dst] = c
+					continue
 				}
-				if cur, ok := m.firstContact[dst]; !ok || first.Before(cur) {
-					m.firstContact[dst] = first
-				}
-			}
-			for dst, last := range b.lastStart {
-				if cur, ok := m.lastStart[dst]; !ok || last.After(cur) {
-					m.lastStart[dst] = last
-				}
+				f.Interstitials = append(f.Interstitials, time.Duration(c.first-cur.last).Seconds())
+				cur.first = min(cur.first, c.first)
+				cur.last = max(cur.last, c.last)
+				m.contacts[dst] = cur
 			}
 		}
 	}
@@ -151,12 +147,13 @@ func MergePanes(grace time.Duration, panes ...*Pane) *FeatureSet {
 	contacts := make(map[IP][]IP, len(merged))
 	for ip, m := range merged {
 		f := m.feats
-		f.Peers = len(m.firstContact)
+		f.Peers = len(m.contacts)
 		f.NewPeers = 0
-		dsts := make([]IP, 0, len(m.firstContact))
-		for dst, first := range m.firstContact {
+		firstSeen := f.FirstSeen.UnixNano()
+		dsts := make([]IP, 0, len(m.contacts))
+		for dst, c := range m.contacts {
 			dsts = append(dsts, dst)
-			if first.Sub(f.FirstSeen) > grace {
+			if time.Duration(c.first-firstSeen) > grace {
 				f.NewPeers++
 			}
 		}

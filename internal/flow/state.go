@@ -1,7 +1,6 @@
 package flow
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"time"
@@ -11,8 +10,8 @@ import (
 // plain-data snapshots of the incremental extractors' internal state, so
 // internal/checkpoint can persist a live deployment and restore it
 // bit-identically after a crash. The types mirror the unexported
-// accumulation structures (featureBuilder, the reorder heap, the
-// first-seen anchors) field for field; State() detaches a deep copy,
+// accumulation structures (featureBuilder's contact table, the reorder
+// heap, the first-seen anchors); State() detaches a deep copy,
 // RestoreState() rebuilds the originals inside a freshly constructed
 // extractor. Configuration (FeatureOptions, shard count, skew) is never
 // part of the state — the restoring caller constructs the extractor
@@ -95,6 +94,20 @@ func hostTimesToMap(entries []HostTime) map[IP]time.Time {
 	return m
 }
 
+// contactTimes flattens one side of a contact table into address-sorted
+// HostTime pairs.
+func contactTimes(contacts map[IP]contact, at func(contact) int64) []HostTime {
+	if len(contacts) == 0 {
+		return nil
+	}
+	out := make([]HostTime, 0, len(contacts))
+	for ip, c := range contacts {
+		out = append(out, HostTime{Host: ip, Time: time.Unix(0, at(c)).UTC()})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Host < out[j].Host })
+	return out
+}
+
 // stateOfBuilders snapshots a builder map as address-sorted HostStates,
 // deep-copying every slice and table so the snapshot stays valid while
 // the live extractor keeps accumulating.
@@ -112,8 +125,8 @@ func stateOfBuilders(builders map[IP]*featureBuilder) []HostState {
 		b := builders[ip]
 		hs := HostState{
 			Feats:        *b.feats,
-			FirstContact: hostTimesFromMap(b.firstSeen),
-			LastStart:    hostTimesFromMap(b.lastStart),
+			FirstContact: contactTimes(b.contacts, func(c contact) int64 { return c.first }),
+			LastStart:    contactTimes(b.contacts, func(c contact) int64 { return c.last }),
 		}
 		hs.Feats.Interstitials = append([]float64(nil), b.feats.Interstitials...)
 		out[i] = hs
@@ -121,18 +134,26 @@ func stateOfBuilders(builders map[IP]*featureBuilder) []HostState {
 	return out
 }
 
-// buildersFromState rebuilds the live builder map.
+// buildersFromState rebuilds the live builder map, joining each host's
+// first-contact and last-start lists back into one contact table.
 func buildersFromState(hosts []HostState) map[IP]*featureBuilder {
 	builders := make(map[IP]*featureBuilder, len(hosts))
 	for i := range hosts {
 		hs := &hosts[i]
 		feats := hs.Feats
 		feats.Interstitials = append([]float64(nil), hs.Feats.Interstitials...)
-		builders[hs.Feats.Host] = &featureBuilder{
-			feats:     &feats,
-			firstSeen: hostTimesToMap(hs.FirstContact),
-			lastStart: hostTimesToMap(hs.LastStart),
+		contacts := make(map[IP]contact, len(hs.FirstContact))
+		for _, ht := range hs.FirstContact {
+			c := contacts[ht.Host]
+			c.first = ht.Time.UnixNano()
+			contacts[ht.Host] = c
 		}
+		for _, ht := range hs.LastStart {
+			c := contacts[ht.Host]
+			c.last = ht.Time.UnixNano()
+			contacts[ht.Host] = c
+		}
+		builders[hs.Feats.Host] = &featureBuilder{feats: &feats, contacts: contacts}
 	}
 	return builders
 }
@@ -151,17 +172,12 @@ func (se *StreamExtractor) State() *StreamState {
 		Anchors:  hostTimesFromMap(se.anchors),
 	}
 	if len(se.pending) > 0 {
-		st.Pending = make([]PendingState, len(se.pending))
-		for i, p := range se.pending {
-			st.Pending[i] = PendingState{Rec: p.rec, Seq: p.seq}
+		ordered := append(recordHeap(nil), se.pending...)
+		sort.Slice(ordered, func(i, j int) bool { return ordered[i].before(&ordered[j]) })
+		st.Pending = make([]PendingState, len(ordered))
+		for i := range ordered {
+			st.Pending[i] = PendingState{Rec: ordered[i].record(), Seq: ordered[i].seq}
 		}
-		sort.Slice(st.Pending, func(i, j int) bool {
-			a, b := &st.Pending[i], &st.Pending[j]
-			if !a.Rec.Start.Equal(b.Rec.Start) {
-				return a.Rec.Start.Before(b.Rec.Start)
-			}
-			return a.Seq < b.Seq
-		})
 	}
 	return st
 }
@@ -185,11 +201,12 @@ func (se *StreamExtractor) RestoreState(st *StreamState) error {
 		se.anchors = hostTimesToMap(st.Anchors)
 	}
 	if len(st.Pending) > 0 {
-		se.pending = make(recordHeap, len(st.Pending))
+		se.pending = make(recordHeap, 0, len(st.Pending))
 		for i := range st.Pending {
-			se.pending[i] = pendingRecord{rec: st.Pending[i].Rec, seq: st.Pending[i].Seq}
+			o := observationOf(&st.Pending[i].Rec)
+			o.seq = st.Pending[i].Seq
+			se.pending.push(o)
 		}
-		heap.Init(&se.pending)
 	}
 	se.hostCtr.Set(int64(len(se.builders)))
 	return nil

@@ -1,7 +1,6 @@
 package flow
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -94,13 +93,15 @@ func (se *StreamExtractor) Add(r *Record) error {
 	if r.Start.After(se.frontier) {
 		se.frontier = r.Start
 	}
+	o := observationOf(r)
 	if se.maxSkew == 0 {
 		se.released = r.Start
-		se.process(r)
+		se.process(&o)
 		return nil
 	}
 	se.seq++
-	heap.Push(&se.pending, pendingRecord{rec: *r, seq: se.seq})
+	o.seq = se.seq
+	se.pending.push(o)
 	se.pendingHW.SetMax(int64(len(se.pending)))
 	se.release(se.frontier.Add(-se.maxSkew))
 	return nil
@@ -108,10 +109,10 @@ func (se *StreamExtractor) Add(r *Record) error {
 
 // release processes buffered records with start times up to watermark.
 func (se *StreamExtractor) release(watermark time.Time) {
-	for len(se.pending) > 0 && !se.pending[0].rec.Start.After(watermark) {
-		p := heap.Pop(&se.pending).(pendingRecord)
-		se.released = p.rec.Start
-		se.process(&p.rec)
+	for len(se.pending) > 0 && !se.pending[0].start.After(watermark) {
+		o := se.pending.pop()
+		se.released = o.start
+		se.process(&o)
 	}
 }
 
@@ -127,10 +128,10 @@ func (se *StreamExtractor) Drain() {
 // the stream frontier proves no conforming record below t can still
 // arrive, so records at or past t stay buffered for the next pane.
 func (se *StreamExtractor) ReleaseBefore(t time.Time) {
-	for len(se.pending) > 0 && se.pending[0].rec.Start.Before(t) {
-		p := heap.Pop(&se.pending).(pendingRecord)
-		se.released = p.rec.Start
-		se.process(&p.rec)
+	for len(se.pending) > 0 && se.pending[0].start.Before(t) {
+		o := se.pending.pop()
+		se.released = o.start
+		se.process(&o)
 	}
 	if t.After(se.released) {
 		se.released = t
@@ -170,25 +171,21 @@ func (se *StreamExtractor) TakePane(w Window) *Pane {
 	return &Pane{builders: builders, window: w}
 }
 
-func (se *StreamExtractor) process(r *Record) {
-	if se.opts.Hosts != nil && !se.opts.Hosts(r.Src) {
+func (se *StreamExtractor) process(o *observation) {
+	if se.opts.Hosts != nil && !se.opts.Hosts(o.src) {
 		return
 	}
-	b, ok := se.builders[r.Src]
+	b, ok := se.builders[o.src]
 	if !ok {
-		first := r.Start
-		if anchor, ok := se.anchors[r.Src]; ok && anchor.Before(first) {
+		first := o.start
+		if anchor, ok := se.anchors[o.src]; ok && anchor.Before(first) {
 			first = anchor
 		}
-		b = &featureBuilder{
-			feats:     &HostFeatures{Host: r.Src, FirstSeen: first},
-			firstSeen: make(map[IP]time.Time),
-			lastStart: make(map[IP]time.Time),
-		}
-		se.builders[r.Src] = b
+		b = newFeatureBuilder(o.src, first)
+		se.builders[o.src] = b
 		se.hostCtr.Set(int64(len(se.builders)))
 	}
-	b.observe(r, se.grace)
+	b.observe(o, se.grace)
 }
 
 // Records returns how many records have been accepted (including ones
@@ -234,56 +231,109 @@ func (se *StreamExtractor) Window() Window {
 	return Window{From: se.first, To: se.frontier.Add(1)}
 }
 
-// pendingRecord is one buffered record; seq keeps ties in arrival order
-// so the skewed stream reproduces the batch extractor exactly.
-type pendingRecord struct {
-	rec Record
-	seq uint64
+// observation is one record reduced to the fields feature extraction
+// reads. The reorder buffer holds these rather than whole Records: 56
+// bytes each, and no Payload kept alive for MaxSkew. seq keeps
+// same-start ties in arrival order so the skewed stream reproduces the
+// batch extractor exactly. start stays a time.Time so FirstSeen,
+// LastSeen and the release watermark keep their exact values.
+type observation struct {
+	start    time.Time
+	seq      uint64
+	srcBytes uint64
+	src, dst IP
+	failed   bool
 }
 
-// recordHeap is a min-heap of records by (start time, arrival order).
-type recordHeap []pendingRecord
+func observationOf(r *Record) observation {
+	return observation{start: r.Start, srcBytes: r.SrcBytes, src: r.Src, dst: r.Dst, failed: r.Failed()}
+}
 
-func (h recordHeap) Len() int { return len(h) }
-func (h recordHeap) Less(i, j int) bool {
-	if !h[i].rec.Start.Equal(h[j].rec.Start) {
-		return h[i].rec.Start.Before(h[j].rec.Start)
+// record rebuilds a Record carrying the observation's fields, for
+// snapshots; the fields extraction never reads are left zero (End is
+// set to Start so the record stays well formed).
+func (o *observation) record() Record {
+	state := StateEstablished
+	if o.failed {
+		state = StateFailed
 	}
-	return h[i].seq < h[j].seq
-}
-func (h recordHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *recordHeap) Push(x any)   { *h = append(*h, x.(pendingRecord)) }
-func (h *recordHeap) Pop() any {
-	old := *h
-	n := len(old)
-	rec := old[n-1]
-	*h = old[:n-1]
-	return rec
+	return Record{Src: o.src, Dst: o.dst, Start: o.start, End: o.start, SrcBytes: o.srcBytes, State: state}
 }
 
-// observe folds one record into a host's builder. Shared by the batch
-// and streaming extractors so their semantics cannot drift.
-func (b *featureBuilder) observe(r *Record, grace time.Duration) {
+// before is the buffer's strict total order: start time, then arrival.
+func (o *observation) before(p *observation) bool {
+	if !o.start.Equal(p.start) {
+		return o.start.Before(p.start)
+	}
+	return o.seq < p.seq
+}
+
+// recordHeap is a binary min-heap of observations by (start, seq),
+// typed so that pushing and popping never box an entry.
+type recordHeap []observation
+
+func (h *recordHeap) push(o observation) {
+	*h = append(*h, o)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q[i].before(&q[parent]) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+func (h *recordHeap) pop() observation {
+	q := *h
+	n := len(q) - 1
+	top := q[0]
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && q[l].before(&q[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && q[r].before(&q[least]) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	*h = q
+	return top
+}
+
+// observe folds one observation into a host's builder. Shared by the
+// batch and streaming extractors so their semantics cannot drift.
+func (b *featureBuilder) observe(o *observation, grace time.Duration) {
 	f := b.feats
 	f.Flows++
-	if r.Failed() {
+	if o.failed {
 		f.FailedFlows++
 	} else {
 		f.SuccessfulFlows++
 	}
-	f.BytesUploaded += r.SrcBytes
-	if r.Start.After(f.LastSeen) {
-		f.LastSeen = r.Start
+	f.BytesUploaded += o.srcBytes
+	if o.start.After(f.LastSeen) {
+		f.LastSeen = o.start
 	}
-	if _, seen := b.firstSeen[r.Dst]; !seen {
-		b.firstSeen[r.Dst] = r.Start
+	start := o.start.UnixNano()
+	c, seen := b.contacts[o.dst]
+	if seen {
+		f.Interstitials = append(f.Interstitials, time.Duration(start-c.last).Seconds())
+	} else {
+		c.first = start
 		f.Peers++
-		if r.Start.Sub(f.FirstSeen) > grace {
+		if o.start.Sub(f.FirstSeen) > grace {
 			f.NewPeers++
 		}
 	}
-	if prev, ok := b.lastStart[r.Dst]; ok {
-		f.Interstitials = append(f.Interstitials, r.Start.Sub(prev).Seconds())
-	}
-	b.lastStart[r.Dst] = r.Start
+	c.last = start
+	b.contacts[o.dst] = c
 }

@@ -113,19 +113,28 @@ func TestStreamGraceOverride(t *testing.T) {
 	}
 }
 
-func BenchmarkStreamExtractor(b *testing.B) {
+func BenchmarkStreamExtractor(b *testing.B) { benchmarkStreamExtractor(b, 0) }
+
+// BenchmarkStreamExtractorSkew is the same feed through a 1-minute
+// reorder buffer — the configuration the engine runs live — so the
+// buffer's per-record cost shows beside the in-order path.
+func BenchmarkStreamExtractorSkew(b *testing.B) { benchmarkStreamExtractor(b, time.Minute) }
+
+func benchmarkStreamExtractor(b *testing.B, skew time.Duration) {
 	rng := rand.New(rand.NewSource(45))
 	records := randomOrderedRecords(rng, 10_000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		se := NewStreamExtractor(FeatureOptions{})
+		se := NewStreamExtractorSkew(FeatureOptions{}, skew)
 		for j := range records {
 			if err := se.Add(&records[j]); err != nil {
 				b.Fatal(err)
 			}
 		}
+		se.Drain()
 	}
+	b.ReportMetric(float64(len(records)), "records/op")
 }
 
 // A stream shuffled within a bounded skew must, with a matching MaxSkew
@@ -239,5 +248,54 @@ func TestFeatureInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Records that share a start time are folded in arrival order, which
+// decides the order of Interstitials when several destinations gain a
+// gap at the same instant. A stream whose ties arrive shuffled within
+// the skew must match the batch extractor fed the same arrival order
+// (its start-time sort is stable), gap for gap.
+func TestStreamSkewTiesKeepArrivalOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	const groups, perGroup = 40, 12
+	var records []Record
+	for g := 0; g < groups; g++ {
+		start := baseTime().Add(time.Duration(g) * 10 * time.Second)
+		for k := 0; k < perGroup; k++ {
+			state := StateEstablished
+			if rng.Intn(4) == 0 {
+				state = StateFailed
+			}
+			records = append(records, mkRecord(IP(1+rng.Intn(3)), IP(100+rng.Intn(6)), start, uint64(rng.Intn(900)), state))
+		}
+	}
+	arrival := make([]keyedRecord, len(records))
+	for i, r := range records {
+		arrival[i] = keyedRecord{rec: r, key: r.Start.Add(time.Duration(rng.Intn(41)-20) * time.Second)}
+	}
+	sortKeyed(arrival)
+	inArrival := make([]Record, len(arrival))
+	reordered := false
+	for i := range arrival {
+		inArrival[i] = arrival[i].rec
+		if !reflect.DeepEqual(inArrival[i], records[i]) {
+			reordered = true
+		}
+	}
+	if !reordered {
+		t.Fatal("arrival order equals generation order; the test would prove nothing")
+	}
+
+	se := NewStreamExtractorSkew(FeatureOptions{}, time.Minute)
+	for i := range inArrival {
+		if err := se.Add(&inArrival[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	se.Drain()
+	batch := ExtractFeatures(inArrival, FeatureOptions{})
+	if !reflect.DeepEqual(se.Snapshot(), batch) {
+		t.Fatal("stream features (Interstitials order included) differ from the stable-sorted batch")
 	}
 }

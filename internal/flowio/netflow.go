@@ -132,11 +132,17 @@ func (nr *NetFlowReader) readPacket() error {
 	if _, err := io.ReadFull(nr.r, nr.pkt[collector.V5HeaderSize:]); err != nil {
 		return fmt.Errorf("flowio: netflow trace truncated mid-packet (packet %d, %d records): %w", nr.packets, count, err)
 	}
-	var err error
-	_, nr.pending, err = collector.DecodeV5(nr.pkt, nr.pending[:0])
+	decoded, pending, err := collector.DecodeV5(nr.pkt, nr.pending[:0])
+	nr.pending = pending
 	nr.idx = 0
 	if err != nil {
 		return fmt.Errorf("flowio: netflow trace packet %d: %w", nr.packets, err)
+	}
+	if decoded.Corrupt > 0 {
+		// A live collector skips and counts such records; a trace file
+		// is read whole or not at all.
+		return fmt.Errorf("flowio: netflow trace packet %d: %w: %d records end before they start",
+			nr.packets, collector.ErrCorrupt, decoded.Corrupt)
 	}
 	nr.packets++
 	return nil

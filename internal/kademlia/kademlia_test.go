@@ -2,6 +2,8 @@ package kademlia
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -307,6 +309,48 @@ func TestClosestOnline(t *testing.T) {
 		}
 		if i > 0 && got[i].ID.XOR(target).Less(got[i-1].ID.XOR(target)) {
 			t.Fatal("ClosestOnline not in XOR order")
+		}
+	}
+}
+
+// sortedClosest is the reference closest-n: sort every kept node by XOR
+// distance and cut at n.
+func sortedClosest(ov *Overlay, target NodeID, n int, keep func(i int) bool) []Contact {
+	all := make([]Contact, 0, ov.Size())
+	for i := 0; i < ov.Size(); i++ {
+		if keep(i) {
+			all = append(all, ov.Contact(i))
+		}
+	}
+	sort.Slice(all, func(a, b int) bool { return all[a].ID.XOR(target).Less(all[b].ID.XOR(target)) })
+	if len(all) > n {
+		all = all[:n]
+	}
+	return all
+}
+
+// The bounded n-best selection must return exactly what a full sort of
+// the overlay returns, in the same order, for any n — including none,
+// one, a k-bucket's worth, and more than the overlay holds.
+func TestClosestMatchesSortReference(t *testing.T) {
+	ov := testOverlay(t, 600, 41)
+	rng := rand.New(rand.NewSource(42))
+	start := time.Date(2007, time.November, 5, 0, 0, 0, 0, time.UTC)
+	for trial := 0; trial < 40; trial++ {
+		target := RandomID(rng)
+		at := start.Add(time.Duration(rng.Int63n(int64(48 * time.Hour))))
+		online := func(i int) bool { return ov.Online(ov.Contact(i).ID, at) }
+		for _, n := range []int{0, 1, DefaultK, ov.Size() + 1} {
+			got := ov.ClosestAny(target, n)
+			want := sortedClosest(ov, target, n, func(int) bool { return true })
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: ClosestAny(n=%d) = %d contacts, differs from sorted reference (%d)", trial, n, len(got), len(want))
+			}
+			got = ov.ClosestOnline(target, at, n)
+			want = sortedClosest(ov, target, n, online)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: ClosestOnline(n=%d) = %d contacts, differs from sorted reference (%d)", trial, n, len(got), len(want))
+			}
 		}
 	}
 }

@@ -218,25 +218,39 @@ func (o *Overlay) ClosestAny(target NodeID, n int) []Contact {
 	return o.closest(target, n, func(int) bool { return true })
 }
 
+// closest keeps an n-best array sorted by XOR distance and inserts each
+// closer candidate into it, so a lookup costs one pass over the overlay
+// instead of a full sort. keep is consulted only for candidates that
+// would enter the array, which skips most of ClosestOnline's schedule
+// searches. NewOverlay rejects duplicate IDs, so distances to a target
+// are distinct and the result equals a sort of all kept nodes cut at n.
 func (o *Overlay) closest(target NodeID, n int, keep func(i int) bool) []Contact {
 	type cand struct {
-		c    Contact
+		i    int
 		dist NodeID
 	}
-	cands := make([]cand, 0, 64)
+	best := make([]cand, 0, min(n, len(o.contacts)))
 	for i := range o.contacts {
+		dist := o.contacts[i].ID.XOR(target)
+		full := len(best) == n
+		if full && (n == 0 || !dist.Less(best[n-1].dist)) {
+			continue
+		}
 		if !keep(i) {
 			continue
 		}
-		cands = append(cands, cand{c: o.contacts[i], dist: o.contacts[i].ID.XOR(target)})
+		if !full {
+			best = append(best, cand{})
+		}
+		j := len(best) - 1
+		for ; j > 0 && dist.Less(best[j-1].dist); j-- {
+			best[j] = best[j-1]
+		}
+		best[j] = cand{i: i, dist: dist}
 	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].dist.Less(cands[b].dist) })
-	if len(cands) > n {
-		cands = cands[:n]
-	}
-	out := make([]Contact, len(cands))
-	for i := range cands {
-		out[i] = cands[i].c
+	out := make([]Contact, len(best))
+	for k := range best {
+		out[k] = o.contacts[best[k].i]
 	}
 	return out
 }
